@@ -35,9 +35,7 @@ type WalltimePolicy struct {
 	RequeueFactor float64
 }
 
-// WithDefaults resolves the zero-value fields to the documented defaults;
-// the simulator mirror calls it so virtual-time sizing matches the live
-// executor exactly.
+// WithDefaults resolves the zero-value fields to the documented defaults.
 func (p WalltimePolicy) WithDefaults() WalltimePolicy {
 	if p.Fixed <= 0 {
 		p.Fixed = 2 * time.Hour
@@ -57,8 +55,7 @@ func (p WalltimePolicy) WithDefaults() WalltimePolicy {
 // FromForecast converts a duration forecast (seconds) and model confidence
 // into a walltime. ok is false when the forecast is unusable (non-positive,
 // or confidence below the floor) and the caller must fall back to Fixed.
-// This pure form is shared by the live ForecastExecutor and the simulator's
-// virtual-time mirror, so the two paths cannot drift.
+// Size is its monitor-reading form.
 func (p WalltimePolicy) FromForecast(forecastS, confidence float64) (time.Duration, bool) {
 	p = p.WithDefaults()
 	if forecastS <= 0 || confidence < p.MinConfidence {
@@ -76,7 +73,8 @@ func (p WalltimePolicy) FromForecast(forecastS, confidence float64) (time.Durati
 
 // Size picks the walltime for one solve: the forecast-derived walltime when
 // the monitor holds a trusted model for the service, else the fixed grant.
-// sized reports which path was taken.
+// sized reports which path was taken. The live ForecastExecutor and the
+// simulator's batch mode both size reservations here.
 func (p WalltimePolicy) Size(m *cori.Monitor, service string, workGFlops float64) (wall time.Duration, sized bool) {
 	p = p.WithDefaults()
 	if m != nil {
@@ -88,6 +86,12 @@ func (p WalltimePolicy) Size(m *cori.Monitor, service string, workGFlops float64
 	}
 	return p.Fixed, false
 }
+
+// DefaultMaxAttempts is the kill-and-requeue retry budget of a
+// ForecastExecutor that sets no MaxAttempts: a solve still overrunning its
+// grant after this many attempts fails. The simulator's batch replays
+// enforce the same budget.
+const DefaultMaxAttempts = 3
 
 // ExecStats counts a ForecastExecutor's sizing decisions and their outcomes.
 type ExecStats struct {
@@ -119,7 +123,8 @@ type ForecastExecutor struct {
 	Nodes   int
 	Monitor *cori.Monitor
 	Policy  WalltimePolicy
-	// MaxAttempts bounds kill-and-requeue retries (default 3).
+	// MaxAttempts bounds kill-and-requeue retries (default
+	// DefaultMaxAttempts).
 	MaxAttempts int
 
 	mu    sync.Mutex
@@ -188,7 +193,7 @@ func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64,
 	}
 	maxAttempts := e.MaxAttempts
 	if maxAttempts < 1 {
-		maxAttempts = 3
+		maxAttempts = DefaultMaxAttempts
 	}
 	e.mu.Lock()
 	monitor := e.Monitor

@@ -6,11 +6,41 @@ import (
 	"repro/internal/scheduler"
 )
 
-// This file prices dependency chains: it turns the per-service duration
-// forecasts the monitors produce into the critical-path weights a workflow
-// scheduler dispatches by. Both the live runner (internal/workflow) and the
-// virtual-time mirror (internal/simgrid) share these helpers, so the A11
-// ablation measures exactly the arithmetic the live campaigns run.
+// This file prices solves and dependency chains: it turns the per-service
+// duration forecasts the monitors produce into solve prices and into the
+// critical-path weights a workflow scheduler dispatches by. The live stack
+// (internal/diet, internal/workflow) and the simulator (internal/simgrid)
+// both call these helpers, so every ablation measures exactly the
+// arithmetic the live campaigns run.
+
+// solvePrice is the one trust rule every solve price goes through: the
+// model's forecast when it is positive and trusted at minConfidence, else
+// work over the advertised power (power <= 0 counts as 1). byModel reports
+// which path produced the price.
+func solvePrice(forecastS, confidence, minConfidence, workGFlops, powerGFlops float64) (seconds float64, byModel bool) {
+	if forecastS > 0 && confidence >= minConfidence {
+		return forecastS, true
+	}
+	if powerGFlops <= 0 {
+		powerGFlops = 1
+	}
+	return workGFlops / powerGFlops, false
+}
+
+// PriceSolve prices workGFlops of one service on a server holding monitor
+// m and advertising powerGFlops: the monitor's forecast when its model is
+// trusted at scheduler.DefaultMinConfidence, else work over power. A nil
+// monitor prices by power alone. The live SeD snapshots this price at
+// admission and the simulator's virtual SeDs price dispatches with it.
+func PriceSolve(m *Monitor, service string, workGFlops, powerGFlops float64) (seconds float64, byModel bool) {
+	forecast, confidence := -1.0, 0.0
+	if m != nil {
+		if model, ok := m.Model(service); ok {
+			forecast, confidence = model.SolveSeconds(workGFlops), model.Confidence
+		}
+	}
+	return solvePrice(forecast, confidence, scheduler.DefaultMinConfidence, workGFlops, powerGFlops)
+}
 
 // BestEstimateSeconds prices workGFlops of one service from a collected
 // estimate vector: the cheapest prediction across the offered servers,
@@ -26,19 +56,7 @@ func BestEstimateSeconds(ests []scheduler.Estimate, workGFlops, minConfidence fl
 	}
 	found := false
 	for _, e := range ests {
-		sec, model := -1.0, false
-		if e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= minConfidence {
-			if p := e.ForecastSolveSeconds(workGFlops); p > 0 {
-				sec, model = p, true
-			}
-		}
-		if sec <= 0 {
-			power := e.PowerGFlops
-			if power <= 0 {
-				power = 1
-			}
-			sec, model = workGFlops/power, false
-		}
+		sec, model := solvePrice(e.ForecastSolveSeconds(workGFlops), e.ForecastConfidence, minConfidence, workGFlops, e.PowerGFlops)
 		if !found || sec < seconds || (sec == seconds && model && !byModel) {
 			seconds, byModel, found = sec, model, true
 		}

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/scheduler"
 )
 
 // TransferSample is one measured data movement between two nodes.
@@ -202,6 +204,31 @@ func (tm *TransferMonitor) Predict(from, to string, sizeMB float64) (seconds, co
 		return 0, 0, false
 	}
 	return p, m.Confidence, true
+}
+
+// PriceInput prices pulling sizeMB to node `to` from the cheapest of its
+// replica holders: each holder's pair model when it is trusted at
+// scheduler.DefaultMinConfidence, else sizeMB over fallbackMBps. A nil
+// monitor prices every holder at the fallback, and no holders prices as 0
+// (nothing says what the move would cost). The live SeD's data-aware
+// estimate and the simulator's data ablation both price inputs here.
+func (tm *TransferMonitor) PriceInput(holders []string, to string, sizeMB, fallbackMBps float64) float64 {
+	best := -1.0
+	for _, from := range holders {
+		sec := sizeMB / fallbackMBps
+		if tm != nil {
+			if p, conf, ok := tm.Predict(from, to, sizeMB); ok && conf >= scheduler.DefaultMinConfidence {
+				sec = p
+			}
+		}
+		if best < 0 || sec < best {
+			best = sec
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return best
 }
 
 // Pairs lists the observed pair keys, sorted.

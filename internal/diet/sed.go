@@ -2,7 +2,6 @@ package diet
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -532,6 +531,10 @@ func (s *SeD) inputTransferSeconds(dataIDs []string) float64 {
 	if s.cfg.Data == nil || len(dataIDs) == 0 {
 		return 0
 	}
+	mbps := s.cfg.DataFallbackMBps
+	if mbps <= 0 {
+		mbps = defaultDataFallbackMBps
+	}
 	var total float64
 	for _, id := range dataIDs {
 		if id == "" {
@@ -551,33 +554,9 @@ func (s *SeD) inputTransferSeconds(dataIDs []string) float64 {
 		if !ok || sizeMB <= 0 {
 			continue
 		}
-		best := math.MaxFloat64
-		for _, n := range nodes {
-			if sec := s.predictTransfer(n, sizeMB); sec < best {
-				best = sec
-			}
-		}
-		if best < math.MaxFloat64 {
-			total += best
-		}
+		total += s.cfg.Transfers.PriceInput(nodes, s.cfg.Name, sizeMB, mbps)
 	}
 	return total
-}
-
-// predictTransfer prices moving sizeMB from a node to this SeD: the trusted
-// per-pair bandwidth model when one exists, else the fallback bandwidth.
-func (s *SeD) predictTransfer(from string, sizeMB float64) float64 {
-	if s.cfg.Transfers != nil {
-		if sec, conf, ok := s.cfg.Transfers.Predict(from, s.cfg.Name, sizeMB); ok &&
-			conf >= scheduler.DefaultMinConfidence {
-			return sec
-		}
-	}
-	mbps := s.cfg.DataFallbackMBps
-	if mbps <= 0 {
-		mbps = defaultDataFallbackMBps
-	}
-	return sizeMB / mbps
 }
 
 // Solve queues the profile, waits for a slot, runs the solve function and
@@ -599,7 +578,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	// the scheduler's estimate reflected when it routed the request here.
 	// The completed solve is judged against this prediction (SolveRecord),
 	// which is how MispredictPct accounting works on the live stack.
-	predS, predByModel := s.predictSolve(p.Service, p.WorkGFlops)
+	predS, predByModel := cori.PriceSolve(s.monitor, p.Service, p.WorkGFlops, s.Power())
 	job := &sedJob{grant: make(chan struct{})}
 	s.statMu.Lock()
 	depthAtAdmission := s.queued + s.running
@@ -764,24 +743,6 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 			ComputeMS:   float64(compute.Microseconds()) / 1000,
 		},
 	}, nil
-}
-
-// predictSolve mirrors the simulator's prediction (sedState.predict): the
-// CoRI model forecast when the model is trusted, else the advertised-power
-// estimate work/power. The bool reports which path produced the prediction.
-func (s *SeD) predictSolve(service string, work float64) (float64, bool) {
-	if model, ok := s.monitor.Model(service); ok && model.Confidence >= scheduler.DefaultMinConfidence {
-		if p := model.SolveSeconds(work); p > 0 {
-			return p, true
-		}
-	}
-	s.statMu.Lock()
-	power := s.power
-	s.statMu.Unlock()
-	if power <= 0 {
-		power = 1
-	}
-	return work / power, false
 }
 
 // attemptTrace builds the per-attempt callback a TracingExecutor invokes:

@@ -14,7 +14,6 @@ package gateway
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/diet"
 	"repro/internal/gwproto"
 	"repro/internal/metrics"
+	"repro/internal/scheduler"
 )
 
 // ErrOverload re-exports the typed admission-control shed error so gateway
@@ -175,14 +175,9 @@ func (g *Gateway) Close() {
 	}
 }
 
-// route sticky-routes a service onto one MA: FNV-1a of the service name
-// modulo the pool, so every submission of one service lands on the same MA
-// (whose subtree then holds the service's warm models) while distinct
-// services spread across the federation.
+// route sticky-routes a service onto one pooled MA (scheduler.StickyRoute).
 func (g *Gateway) route(service string) int {
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	return int(h.Sum32()) % len(g.clients)
+	return scheduler.StickyRoute(service, len(g.clients))
 }
 
 // RouteMA reports which MA a service sticky-routes to (for tests and the

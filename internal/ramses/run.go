@@ -341,11 +341,15 @@ func ConfigFromNamelist(nl *Namelist) (Config, error) {
 		cfg.Astart = v
 	}
 	if nl.Has("init_params", "seed") {
-		v, err := nl.Int("init_params", "seed")
+		// ParseInt, not nl.Int: a 63-bit seed must round-trip on 32-bit
+		// platforms too.
+		s, err := nl.String("init_params", "seed")
 		if err != nil {
 			return cfg, err
 		}
-		cfg.Seed = int64(v)
+		if cfg.Seed, err = strconv.ParseInt(s, 10, 64); err != nil {
+			return cfg, fmt.Errorf("ramses: init_params/seed: %w", err)
+		}
 	}
 	for d, key := range []string{"cx", "cy", "cz"} {
 		if nl.Has("init_params", key) {

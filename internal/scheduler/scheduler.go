@@ -8,6 +8,7 @@ package scheduler
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -49,6 +50,18 @@ type Estimate struct {
 // decayed below it are ignored in favour of the static fields, so every
 // layer of the stack agrees on which models are trusted.
 const DefaultMinConfidence = 0.05
+
+// StickyRoute maps a service name onto one of n Master Agents: FNV-1a of
+// the name modulo n, so every submission of one service lands on the same MA
+// (whose subtree then holds the service's warm models) while distinct
+// services spread across the federation. The arithmetic stays unsigned, so
+// the index is in [0, n) on every architecture. The gateway routes by it and
+// the simulated federation places services by it.
+func StickyRoute(service string, n int) int {
+	h := fnv.New32a()
+	h.Write([]byte(service))
+	return int(h.Sum32() % uint32(n))
+}
 
 // TrustedDrainSeconds returns the forecast drain time of the server's
 // accepted work when the estimate carries a model trusted at minConfidence;

@@ -225,3 +225,28 @@ func TestByName(t *testing.T) {
 		t.Error("unknown policy should fail")
 	}
 }
+
+// TestStickyRoute pins the MA indices sticky routing has always produced, so
+// a service keeps its home MA across releases and architectures. svc000's
+// hash (0xaf75319f) has the top bit set: a signed conversion before the
+// modulo would make its index negative on 32-bit platforms.
+func TestStickyRoute(t *testing.T) {
+	cases := []struct {
+		service string
+		want    [4]int // n = 1..4
+	}{
+		{"svc000", [4]int{0, 1, 2, 3}},
+		{"svc001", [4]int{0, 0, 0, 0}},
+		{"svc002", [4]int{0, 1, 0, 1}},
+		{"ramsesZoom1", [4]int{0, 0, 0, 2}},
+		{"ramsesZoom2", [4]int{0, 1, 1, 3}},
+		{"", [4]int{0, 1, 1, 1}},
+	}
+	for _, c := range cases {
+		for n := 1; n <= 4; n++ {
+			if got := StickyRoute(c.service, n); got != c.want[n-1] {
+				t.Errorf("StickyRoute(%q, %d) = %d, want %d", c.service, n, got, c.want[n-1])
+			}
+		}
+	}
+}

@@ -61,8 +61,8 @@ type BatchQueueConfig struct {
 	// RequeueFactor widens the grant after a walltime kill (default 2,
 	// mirroring batch.WalltimePolicy.RequeueFactor).
 	RequeueFactor float64
-	// MaxAttempts bounds kill-and-requeue retries (default 3, mirroring
-	// batch.ForecastExecutor.MaxAttempts).
+	// MaxAttempts bounds kill-and-requeue retries (default
+	// batch.DefaultMaxAttempts).
 	MaxAttempts int
 }
 
@@ -101,7 +101,7 @@ func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 		cfg.RequeueFactor = 2
 	}
 	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = maxBatchAttempts
+		cfg.MaxAttempts = batch.DefaultMaxAttempts
 	}
 	for _, j := range jobs {
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cori"
-	"repro/internal/scheduler"
 )
 
 // This file runs the data ablation (A13): a data-heavy parameter sweep with
@@ -219,27 +218,6 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 
-	// predictTransfer is the aware arm's pricing: 0 when the bytes are
-	// already resident, else the cheapest predicted pull from any replica —
-	// the trusted pair model when one exists, the optimistic fallback
-	// bandwidth until then. Exactly the live SeD's inputTransferSeconds.
-	predictTransfer := func(s *dataSed, d int) float64 {
-		if s.has[d] {
-			return 0
-		}
-		best := -1.0
-		for _, h := range holders[d] {
-			secs, conf, ok := monitor.Predict(h, s.Name, cfg.DatasetMB)
-			if !ok || conf < scheduler.DefaultMinConfidence {
-				secs = cfg.DatasetMB / cfg.FallbackMBps
-			}
-			if best < 0 || secs < best {
-				best = secs
-			}
-		}
-		return best
-	}
-
 	strategy := "data-blind"
 	if aware {
 		strategy = "data-aware"
@@ -265,8 +243,10 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 					start = s.freeAt
 				}
 				score := start + cfg.WorkGFlops/s.PowerGFlops
-				if aware {
-					score += predictTransfer(s, job.dataset)
+				if aware && !s.has[job.dataset] {
+					// The live SeD's input pricing: the cheapest pull from
+					// any replica, trusted pair model else the fallback.
+					score += monitor.PriceInput(holders[job.dataset], s.Name, cfg.DatasetMB, cfg.FallbackMBps)
 				}
 				if sed == nil || score < best {
 					sed, best = s, score

@@ -43,10 +43,8 @@ type ExperimentConfig struct {
 	ORBOverheadMS float64 // per-request processing at MA + agents (paper find ≈ 49.8 ms total)
 	InitMS        float64 // service initiation on the SeD (paper: 20.8 ms)
 
-	// Data sizes: the namelist file shipped with each request and the
-	// results tarball shipped back.
+	// NamelistKB is the size of the namelist file shipped with each request.
 	NamelistKB float64
-	ResultMB   float64
 
 	// BatchMode routes every solve through an OAR-style reservation adding
 	// BatchGrantS seconds before each job attempt starts (ablation A3).
@@ -55,19 +53,17 @@ type ExperimentConfig struct {
 	// BatchFixedWallS is the fixed walltime (seconds) every reservation
 	// requests in BatchMode — the static grant the paper's submissions used.
 	// A job whose solve outlives its walltime is killed at expiry and
-	// requeued with a RequeueFactor-widened grant, mirroring
-	// batch.System{EnforceWalltime} + batch.ForecastExecutor. 0 disables
-	// walltime enforcement (an unbounded grant).
+	// requeued with a RequeueFactor-widened grant, up to
+	// batch.DefaultMaxAttempts attempts, as batch.System{EnforceWalltime} +
+	// batch.ForecastExecutor do. 0 disables walltime enforcement (an
+	// unbounded grant).
 	BatchFixedWallS float64
 	// BatchForecast sizes each reservation's walltime from the SeD's CoRI
-	// model through BatchPolicy instead of the fixed grant — the
-	// forecast-sized reservations of batch.ForecastExecutor in virtual time.
-	// Requires Forecast; SeDs whose monitor is cold for the service fall
-	// back to BatchFixedWallS.
+	// model with batch.WalltimePolicy.Size — the forecast-sized
+	// reservations of batch.ForecastExecutor in virtual time. Requires
+	// Forecast; SeDs whose monitor is cold for the service fall back to
+	// BatchFixedWallS (or the policy's default grant when that is 0).
 	BatchForecast bool
-	// BatchPolicy tunes forecast walltime sizing. Zero value = the batch
-	// package defaults with Fixed overridden by BatchFixedWallS.
-	BatchPolicy batch.WalltimePolicy
 
 	// ArrivalGapS spaces the phase-2 submissions instead of the paper's
 	// all-at-once burst; Figure 6's latency growth is pure burst queueing,
@@ -104,19 +100,13 @@ type ExperimentConfig struct {
 	// ReplanIntervalS enables the live-replanning mirror (diet.Agent
 	// ReplanInterval + ApplyPlan in virtual time): every interval the
 	// campaign re-plans the deployment from the SeDs' current monitors
-	// (deploy.Replan over MonitorSource for ReplanService) and applies the
+	// (deploy.Replan over MonitorSource for replanService) and applies the
 	// result online. A SeD whose effective power moved re-advertises it; a
-	// SeD whose placement changed pays ReplanPauseS of drain before
+	// SeD whose placement changed pays replanPauseS of drain before
 	// accepting new work and its monitor rides a Snapshot/Restore round-trip
 	// — the reparent protocol's "model travels with the move" guarantee,
 	// exercised rather than assumed. Requires Forecast. 0 disables.
 	ReplanIntervalS float64
-	// ReplanService is the service replanning plans by (default
-	// "ramsesZoom2", the service that dominates the campaign).
-	ReplanService string
-	// ReplanPauseS is the drain pause a migrated SeD pays before accepting
-	// new work (default 30s; the live protocol waits out in-flight solves).
-	ReplanPauseS float64
 	// LiveParent optionally scrambles the initial live placement (SeD name →
 	// agent name). Missing names start under their cluster's planned LA
 	// ("LA-<cluster>"); the replanning mirror migrates mismatches back to
@@ -151,14 +141,6 @@ type ExperimentConfig struct {
 	// lost dispatch (default 30).
 	FailureRetryS float64
 
-	// ReplanMinDeltaPct and ReplanDwellS mirror deploy.HysteresisConfig in
-	// virtual time: a replanning pass drops power refreshes within
-	// ReplanMinDeltaPct percent of the advertised figure, and parent moves
-	// within ReplanDwellS seconds of that SeD's previous move. Zero keeps
-	// every update (the A8 behaviour).
-	ReplanMinDeltaPct float64
-	ReplanDwellS      float64
-
 	// Spans, when set, receives the same span taxonomy the live stack emits
 	// — submit, schedule, queue, reserve, overrun_kill, requeue, solve,
 	// complete — with virtual-time stamps (nanoseconds since campaign
@@ -184,15 +166,17 @@ func DefaultExperiment(policy scheduler.Policy) ExperimentConfig {
 		ORBOverheadMS:    31.5,
 		InitMS:           20.8,
 		NamelistKB:       4,
-		ResultMB:         64,
 		BatchFixedWallS:  7200, // a 2 h user grant, comfortably above the ~1h24 mean solve
 	}
 }
 
-// maxBatchAttempts mirrors batch.ForecastExecutor's default retry budget
-// (MaxAttempts): grants that would still overrun after this many attempts
-// fail in the live stack, so the simulator refuses to model past it.
-const maxBatchAttempts = 3
+// Live replanning plans by the service that dominates the campaign, and a
+// migrated SeD drains for replanPauseS before accepting new work (the live
+// protocol waits out in-flight solves).
+const (
+	replanService = "ramsesZoom2"
+	replanPauseS  = 30
+)
 
 // meanPower averages SeD powers over a deployment.
 func meanPower(dep platform.Deployment) float64 {
@@ -338,9 +322,10 @@ type sedState struct {
 	heldDone    []func(healS float64) // partition: deferred result deliveries
 }
 
-// estimate builds the scheduler's view of the SeD, mirroring
-// diet.SeD.Estimate: static fields from the advertised configuration, and —
-// when a CoRI monitor is attached — the forecast extension from its model.
+// estimate builds the scheduler's view of the SeD as diet.SeD.Estimate does:
+// static fields from the advertised configuration, and — when a CoRI
+// monitor is attached — the forecast extension through the shared
+// cori.Model.ApplyToEstimate and Monitor.DrainEstimate.
 func (s *sedState) estimate(service string) scheduler.Estimate {
 	est := scheduler.Estimate{
 		ServerID:         s.place.Name,
@@ -359,22 +344,22 @@ func (s *sedState) estimate(service string) scheduler.Estimate {
 	return est
 }
 
-// predict mirrors the schedulers' duration view of this SeD at dispatch: the
-// CoRI model when it is trusted at the shared confidence floor, else the
-// advertised-power estimate.
-func (s *sedState) predict(service string, work float64) (float64, bool) {
-	if s.monitor != nil {
-		if model, ok := s.monitor.Model(service); ok && model.Confidence >= scheduler.DefaultMinConfidence {
-			if p := model.SolveSeconds(work); p > 0 {
-				return p, true
-			}
-		}
+// renewMonitor gives the SeD a new cfg.CoRI monitor on the run's virtual
+// clock — fresh, or restored from a snapshot of its current one when warm
+// (the -cori-snapshot restart and the reparent round-trip) — and hands it
+// back through cfg.Monitors so multi-round drivers and tests can carry or
+// inspect it. A failed restore keeps the current monitor.
+func (s *sedState) renewMonitor(warm bool, cfg *ExperimentConfig, sim *Sim) {
+	mcfg := cfg.CoRI
+	mcfg.Now = virtualClock(sim)
+	m := cori.NewMonitor(mcfg)
+	if warm && m.Restore(s.monitor.Snapshot()) != nil {
+		return
 	}
-	power := s.advertised
-	if power <= 0 {
-		power = 1
+	s.monitor = m
+	if cfg.Monitors != nil {
+		cfg.Monitors[s.place.Name] = m
 	}
-	return work / power, false
 }
 
 // RunExperiment replays the campaign in virtual time and returns every
@@ -421,14 +406,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				m.SetNow(virtualClock(sim))
 				seds[i].monitor = m
 			} else {
-				mcfg := cfg.CoRI
-				mcfg.Now = virtualClock(sim)
-				seds[i].monitor = cori.NewMonitor(mcfg)
-				if cfg.Monitors != nil {
-					// Hand the trained monitor back so multi-round drivers
-					// and tests can carry or inspect it.
-					cfg.Monitors[p.Name] = seds[i].monitor
-				}
+				seds[i].renewMonitor(false, &cfg, sim)
 			}
 		}
 	}
@@ -513,7 +491,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// cancel-and-requeue turns them into no-ops.
 	scheduleOn := func(sed *sedState, job *simJob) {
 		id, service, work := job.id, job.service, job.work
-		predS, predByModel := sed.predict(service, work)
+		predS, predByModel := cori.PriceSolve(sed.monitor, service, work, sed.advertised)
 		now := sim.Now()
 		reqID := fmt.Sprintf("sim-%d", id)
 		sedComp := "SeD:" + sed.place.Name
@@ -535,30 +513,18 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		emitSpan(reqID, sedComp, logsvc.KindQueue, service, "", arriveS, startS)
 		if cfg.BatchMode {
 			// Reservation: size the walltime (fixed grant, or CoRI forecast
-			// via the same batch.WalltimePolicy the live executor runs), pay
+			// via batch.WalltimePolicy.Size, as the live executor does), pay
 			// the grant delay per attempt, and replay kill-and-requeue when
 			// the solve outlives its grant — batch.System{EnforceWalltime}
-			// + batch.ForecastExecutor in virtual time.
-			pol := cfg.BatchPolicy
-			if pol.Fixed <= 0 && cfg.BatchFixedWallS > 0 {
-				pol.Fixed = time.Duration(cfg.BatchFixedWallS * float64(time.Second))
-			}
-			// With no grant configured anywhere and no forecasting, walltimes
-			// are unbounded (the pre-enforcement A3 behaviour); otherwise the
-			// fallback is the resolved policy's Fixed — exactly what the live
-			// ForecastExecutor's Size grants a cold monitor.
-			enforce := pol.Fixed > 0 || cfg.BatchForecast
-			pol = pol.WithDefaults()
-			wall, sized := 0.0, false
-			if enforce {
-				wall = pol.Fixed.Seconds()
-			}
-			if cfg.BatchForecast && sed.monitor != nil {
-				if model, ok := sed.monitor.Model(service); ok {
-					if w, ok := pol.FromForecast(model.SolveSeconds(work), model.Confidence); ok {
-						wall, sized = w.Seconds(), true
-					}
-				}
+			// + batch.ForecastExecutor in virtual time. With no grant and no
+			// forecasting, walltimes are unbounded (the pre-enforcement A3
+			// behaviour).
+			fixed := time.Duration(cfg.BatchFixedWallS * float64(time.Second))
+			pol := batch.WalltimePolicy{Fixed: fixed}.WithDefaults()
+			wall, sized := fixed.Seconds(), false
+			if cfg.BatchForecast {
+				w, ok := pol.Size(sed.monitor, service, work)
+				wall, sized = w.Seconds(), ok
 			}
 			res.Batch.Reservations++
 			if sized {
@@ -570,12 +536,12 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			emitSpan(reqID, sedComp, logsvc.KindReserve, service, "attempt 1",
 				startS-cfg.BatchGrantS, startS)
 			if wall > 0 {
-				// Mirror the live executor's retry budget: a solve that still
-				// overruns after maxBatchAttempts grants would fail for real,
-				// so the campaign must not silently absorb it (checked after
-				// the run).
+				// The live executor's retry budget: a solve that still
+				// overruns after batch.DefaultMaxAttempts grants would fail
+				// for real, so the campaign must not silently absorb it
+				// (checked after the run).
 				for attempt := 1; wall < durS; attempt++ {
-					if attempt >= maxBatchAttempts {
+					if attempt >= batch.DefaultMaxAttempts {
 						batchExhausted++
 						break
 					}
@@ -818,13 +784,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		if err := validateFailureSchedule(cfg.Failures, byName); err != nil {
 			return nil, err
 		}
-		modelTrusted := func(s *sedState) bool {
-			if s.monitor == nil {
-				return false
-			}
-			m, ok := s.monitor.Model("ramsesZoom2")
-			return ok && m.Confidence >= scheduler.DefaultMinConfidence && m.SolveSeconds(cfg.Phase2WorkGFlops) > 0
-		}
 		for _, f := range cfg.Failures {
 			f := f
 			sed := byName[f.Node]
@@ -889,27 +848,15 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 						// -cori-snapshot warm restore: the monitor rides a
 						// snapshot round-trip and comes back trained.
 						if sed.monitor != nil {
-							mcfg := cfg.CoRI
-							mcfg.Now = virtualClock(sim)
-							fresh := cori.NewMonitor(mcfg)
-							if err := fresh.Restore(sed.monitor.Snapshot()); err == nil {
-								sed.monitor = fresh
-								if cfg.Monitors != nil {
-									cfg.Monitors[sed.place.Name] = fresh
-								}
-							}
+							sed.renewMonitor(true, &cfg, sim)
 						}
-						flog(f.Node, "restart", fmt.Sprintf("rejoined warm, model trusted=%v", modelTrusted(sed)))
+						_, trusted := cori.PriceSolve(sed.monitor, "ramsesZoom2", cfg.Phase2WorkGFlops, 0)
+						flog(f.Node, "restart", fmt.Sprintf("rejoined warm, model trusted=%v", trusted))
 					} else {
 						// No snapshot on disk: the monitor restarts cold and
 						// retrains from scratch.
 						if sed.monitor != nil {
-							mcfg := cfg.CoRI
-							mcfg.Now = virtualClock(sim)
-							sed.monitor = cori.NewMonitor(mcfg)
-							if cfg.Monitors != nil {
-								cfg.Monitors[sed.place.Name] = sed.monitor
-							}
+							sed.renewMonitor(false, &cfg, sim)
 						}
 						flog(f.Node, "restart", "rejoined cold, model retraining from scratch")
 					}
@@ -964,17 +911,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// deploy.Replan on its heartbeat and applying the diff with the
 	// SeD-migration protocol (diet.Agent.ApplyPlan).
 	if cfg.ReplanIntervalS > 0 {
-		service := cfg.ReplanService
-		if service == "" {
-			service = "ramsesZoom2"
-		}
-		pause := cfg.ReplanPauseS
-		if pause <= 0 {
-			pause = 30
-		}
-		// Hysteresis mirror (deploy.Hysteresis in virtual time): per-SeD time
-		// of the last applied parent move, for the dwell rule.
-		lastMovedAt := make(map[string]float64)
 		var tick func()
 		tick = func() {
 			if done >= cfg.NRequests {
@@ -990,16 +926,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				}
 			}
 			plan, _, err := deploy.Replan(cfg.Deployment, deploy.Options{
-				Capabilities: deploy.MonitorSource(mons, service),
+				Capabilities: deploy.MonitorSource(mons, replanService),
 			})
 			if err == nil {
 				ev := ReplanEvent{AtS: sim.Now()}
 				power, parent := plan.PowerByName(), plan.ParentByName()
 				for _, s := range seds {
 					if p, ok := power[s.place.Name]; ok && p > 0 &&
-						math.Abs(p-s.advertised) > 1e-9*math.Max(1, s.advertised) &&
-						(cfg.ReplanMinDeltaPct <= 0 || s.advertised <= 0 ||
-							100*math.Abs(p-s.advertised)/s.advertised >= cfg.ReplanMinDeltaPct) {
+						math.Abs(p-s.advertised) > 1e-9*math.Max(1, s.advertised) {
 						s.advertised = p
 						ev.PowerUpdates++
 					}
@@ -1007,12 +941,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					if !ok || s.parent == want {
 						continue
 					}
-					if cfg.ReplanDwellS > 0 {
-						if last, moved := lastMovedAt[s.place.Name]; moved && sim.Now()-last < cfg.ReplanDwellS {
-							continue // inside the dwell window: defer the move
-						}
-					}
-					lastMovedAt[s.place.Name] = sim.Now()
 					// The reparent: drain pause before new work starts, and
 					// the monitor rides the same Snapshot/Restore round-trip
 					// the live protocol's persistence layer guarantees — the
@@ -1021,29 +949,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					if s.freeAt < sim.Now() {
 						s.freeAt = sim.Now()
 					}
-					s.freeAt += pause
+					s.freeAt += replanPauseS
 					if s.monitor != nil {
-						mcfg := cfg.CoRI
-						mcfg.Now = virtualClock(sim)
-						fresh := cori.NewMonitor(mcfg)
-						if err := fresh.Restore(s.monitor.Snapshot()); err == nil {
-							s.monitor = fresh
-							if cfg.Monitors != nil {
-								cfg.Monitors[s.place.Name] = fresh
-							}
-						}
+						s.renewMonitor(true, &cfg, sim)
 					}
 					if ev.MovedModelTrusted == nil {
 						ev.MovedModelTrusted = make(map[string]bool)
 					}
-					trusted := false
-					if s.monitor != nil {
-						if m, ok := s.monitor.Model(service); ok &&
-							m.Confidence >= scheduler.DefaultMinConfidence && m.SolveSeconds(cfg.Phase2WorkGFlops) > 0 {
-							trusted = true
-						}
-					}
-					ev.MovedModelTrusted[s.place.Name] = trusted
+					_, ev.MovedModelTrusted[s.place.Name] = cori.PriceSolve(s.monitor, replanService, cfg.Phase2WorkGFlops, 0)
 					ev.Moved = append(ev.Moved, s.place.Name)
 				}
 				sort.Strings(ev.Moved)
@@ -1059,7 +972,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	sim.Run()
 	if batchExhausted > 0 {
 		return nil, fmt.Errorf("simgrid: %d reservations exhausted the %d-attempt walltime budget — the live executor would fail these solves; widen the grant or train the forecasts",
-			batchExhausted, maxBatchAttempts)
+			batchExhausted, batch.DefaultMaxAttempts)
 	}
 	if done+lost != cfg.NRequests {
 		return nil, fmt.Errorf("simgrid: only %d of %d requests completed (%d lost to failures)", done, cfg.NRequests, lost)

@@ -2,18 +2,20 @@ package simgrid
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
+
+	"repro/internal/scheduler"
 )
 
-// This file mirrors the multi-MA federation in virtual time: the submission
+// This file models the multi-MA federation in virtual time: the submission
 // plane of a federated deployment, where a gateway sticky-routes each
-// service onto one Master Agent, MAs answer the finding phase serially (the
-// ORB-overhead cost the paper's Figure 6 calls "finding time"), and a
-// request for a service whose SeDs live under a different MA is
-// peer-forwarded — consuming a miss probe at every peer and a full finding
-// at the service's home MA, plus a forward round trip. The federation
+// service onto one Master Agent (scheduler.StickyRoute, the gateway's own
+// routing), MAs answer the finding phase serially (the ORB-overhead cost the
+// paper's Figure 6 calls "finding time"), and a request for a service whose
+// SeDs live under a different MA is peer-forwarded — consuming a miss probe
+// at every peer and a full finding at the service's home MA, plus a forward
+// round trip. The federation
 // ablation (A12) drives it: saturation throughput and p99 submit latency,
 // one MA versus N federated MAs, under the same open-loop arrival stream.
 
@@ -173,14 +175,6 @@ func (m *maServer) drain() {
 	})
 }
 
-// routeOf sticky-routes a service name onto an MA index, the same FNV-1a
-// hash the live gateway uses.
-func routeOf(service string, mas int) int {
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	return int(h.Sum32()) % mas
-}
-
 // RunFederation replays an open-loop submission stream against a federated
 // (or single) MA plane and reports per-request records.
 func RunFederation(cfg FederationConfig) (*FederationResult, error) {
@@ -204,7 +198,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	names := make([]string, cfg.Services)
 	for s := 0; s < cfg.Services; s++ {
 		names[s] = fmt.Sprintf("svc%03d", s)
-		homeOf[s] = routeOf(names[s], cfg.MAs)
+		homeOf[s] = scheduler.StickyRoute(names[s], cfg.MAs)
 		if foreignEvery > 0 && s%foreignEvery == 0 {
 			homeOf[s] = (homeOf[s] + 1) % cfg.MAs
 		}
@@ -218,7 +212,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		i := i
 		svc := i % cfg.Services
 		arrive := float64(i) / cfg.ArrivalRateHz
-		route, home := routeOf(names[svc], cfg.MAs), homeOf[svc]
+		route, home := scheduler.StickyRoute(names[svc], cfg.MAs), homeOf[svc]
 		res.Requests[i] = FederationRequestRecord{Service: names[svc], ArriveS: arrive}
 		finish := func(float64) {
 			res.Requests[i].DoneS = sim.Now()

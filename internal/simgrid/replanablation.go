@@ -218,12 +218,8 @@ func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig)
 			return nil, fmt.Errorf("simgrid: replan ablation training round %d: %w", r+1, err)
 		}
 	}
-	service := tcfg.ReplanService
-	if service == "" {
-		service = "ramsesZoom2"
-	}
 	plan, changes, err := deploy.Replan(tcfg.Deployment, deploy.Options{
-		Capabilities: deploy.MonitorSource(tcfg.Monitors, service),
+		Capabilities: deploy.MonitorSource(tcfg.Monitors, replanService),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: replan ablation offline replan: %w", err)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cori"
 	"repro/internal/platform"
-	"repro/internal/scheduler"
 	"repro/internal/workflow"
 )
 
@@ -120,33 +119,6 @@ func (r *WorkflowAblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  gain (skewed)  %.1f%%\n", r.SkewGainPct())
 }
 
-// wfSed is the ablation's view of one SeD: capacity 1, a drain time, and —
-// for the forecasting engine — a CoRI monitor trained by completed stages.
-type wfSed struct {
-	name       string
-	truePower  float64
-	advertised float64
-	freeAt     float64
-	monitor    *cori.Monitor
-}
-
-// predict mirrors workflow.DietRunner's pricing (cori.BestEstimateSeconds for
-// one server): the trusted model's forecast, else work over advertised power.
-func (s *wfSed) predict(service string, work float64) (float64, bool) {
-	if s.monitor != nil {
-		if m, ok := s.monitor.Model(service); ok && m.Confidence >= scheduler.DefaultMinConfidence {
-			if p := m.SolveSeconds(work); p > 0 {
-				return p, true
-			}
-		}
-	}
-	power := s.advertised
-	if power <= 0 {
-		power = 1
-	}
-	return work / power, false
-}
-
 // runWorkflowArm executes cfg.Campaigns back-to-back campaigns of the zoom
 // DAG under one engine, in a single virtual timeline, carrying the monitors
 // from campaign to campaign.
@@ -188,13 +160,15 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 
 	sim := NewSim()
 	dep := platform.PaperDeployment()
-	seds := make([]*wfSed, len(dep.SeDs))
+	// Each SeD has capacity 1, a drain time, and — for the forecasting
+	// engine — a CoRI monitor trained by completed stages.
+	seds := make([]*sedState, len(dep.SeDs))
 	for i, p := range dep.SeDs {
 		truePower := p.PowerGFlops()
 		if f, ok := skew[p.Name]; ok && f > 0 {
 			truePower *= f
 		}
-		seds[i] = &wfSed{name: p.Name, truePower: truePower, advertised: p.PowerGFlops()}
+		seds[i] = &sedState{place: p, truePower: truePower, advertised: p.PowerGFlops()}
 		if forecastCP {
 			seds[i].monitor = cori.NewMonitor(cori.Config{HalfLife: TrainingHalfLife, Now: virtualClock(sim)})
 		}
@@ -219,7 +193,7 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 			priorities, err = dag.CriticalPathSeconds(func(def workflow.NodeDef) float64 {
 				best := math.Inf(1)
 				for _, s := range seds {
-					if p, _ := s.predict(def.Service, stageWork[def.Service]); p < best {
+					if p, _ := cori.PriceSolve(s.monitor, def.Service, stageWork[def.Service], s.advertised); p < best {
 						best = p
 					}
 				}
@@ -237,13 +211,13 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 		running, completed := 0, 0
 		var dispatch func()
 		launch := func(n *wfNode) {
-			var sed *wfSed
+			var sed *sedState
 			if forecastCP {
 				bestFinish := math.Inf(1)
 				byModel := false
 				now := sim.Now()
 				for _, s := range seds {
-					p, model := s.predict(n.service, n.work)
+					p, model := cori.PriceSolve(s.monitor, n.service, n.work, s.advertised)
 					start := now
 					if s.freeAt > start {
 						start = s.freeAt
