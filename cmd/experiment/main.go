@@ -231,37 +231,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := res.Config
-		fmt.Printf(" drifting/miscalibrated platform: CanonicalSkew, plus %s drifting to %.0f%% at %s;\n",
-			c.DriftSeD, 100*c.DriftFactor, simgrid.Hours(c.DriftAtS))
-		fmt.Printf(" %s misdeployed under %s at bring-up; live arm replans every %s\n",
-			c.MisplacedSeD, c.MisplacedParent, simgrid.Hours(c.ReplanIntervalS))
-		row := func(name string, r *simgrid.ExperimentResult) {
-			fmt.Printf("  %-26s makespan %s (%.2fh)\n", name, simgrid.Hours(r.TotalS), r.MakespanHours())
-		}
-		row("static plan (frozen)", res.Static)
-		row("live replanning", res.Live)
-		row("offline replan (restart)", res.Offline)
-		fmt.Printf("  → live replanning saves %.1f%% makespan with no restart — %.1f%% of the offline-replan win (%.1f%%)\n",
-			res.LiveGainPct(), res.RecoveryPct(), res.OfflineGainPct())
-		for _, ev := range res.Live.Replans {
-			if ev.PowerUpdates == 0 && len(ev.Moved) == 0 {
-				continue
-			}
-			fmt.Printf("  replan @%6s: %d power update(s), migrated %v\n",
-				simgrid.Hours(ev.AtS), ev.PowerUpdates, ev.Moved)
-		}
-		if ok, why := res.FirstPostMoveForecastTrusted(); ok {
-			fmt.Println("  every migrated SeD kept a trusted model through its move (snapshot travels with the reparent)")
-		} else {
-			fmt.Printf("  WARNING: %s\n", why)
-		}
-		if len(res.Changes) > 0 {
-			fmt.Printf("  offline replan placements (after %d training round(s)):\n", res.Config.Rounds-1)
-			for _, ch := range res.Changes {
-				fmt.Printf("    %s\n", ch)
-			}
-		}
+		res.Print(os.Stdout)
 		return
 	}
 
@@ -342,23 +312,13 @@ func main() {
 	if *fedAblate {
 		fmt.Println("Ablation A12 — multi-MA federation: single Master Agent vs federated mesh:")
 		res, err := simgrid.RunFederationAblation(simgrid.FederationAblationConfig{
-			MAs:  *fedMAs,
-			Base: simgrid.FederationConfig{ArrivalRateHz: *fedRate},
+			MAs:           *fedMAs,
+			ArrivalRateHz: *fedRate,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := res.Federated.Config
-		fmt.Printf(" stream: %d requests over %d services at %.0f/s; finding costs %.0fms serial per MA, misses %.0fms, forward RTT %.0fms, %.0f%% of services foreign\n",
-			cfg.Requests, cfg.Services, cfg.ArrivalRateHz, cfg.SubmitCostMS, cfg.MissCostMS, cfg.ForwardRTTMS, 100*cfg.ForeignFrac)
-		row := func(name string, r *simgrid.FederationResult) {
-			fmt.Printf("  %-18s throughput %6.1f/s  p99 submit latency %8.3fs  mean %7.3fs  span %6.1fs  forwards %d\n",
-				name, r.ThroughputPerSec(), r.P99LatencyS(), r.MeanLatencyS(), r.TotalS, r.Forwards)
-		}
-		row("1 MA", res.Single)
-		row(fmt.Sprintf("%d federated MAs", cfg.MAs), res.Federated)
-		fmt.Printf("  → federation lifts saturation throughput %.2fx and cuts p99 submit latency %.1fx under the same stream\n",
-			res.ThroughputGainX(), res.P99GainX())
+		res.Print(os.Stdout)
 		return
 	}
 

@@ -27,8 +27,6 @@ type WalltimePolicy struct {
 	// (default scheduler.DefaultMinConfidence, shared with the forecast-aware
 	// policies so every layer agrees on which models count).
 	MinConfidence float64
-	// Max caps the sized walltime (0 = uncapped).
-	Max time.Duration
 	// RequeueFactor multiplies the walltime after an overrun kill
 	// (default 2): the kill proves the grant too small, so the requeue
 	// doubles it rather than re-trusting the forecast.
@@ -64,11 +62,7 @@ func (p WalltimePolicy) FromForecast(forecastS, confidence float64) (time.Durati
 	if confidence > 1 {
 		confidence = 1
 	}
-	wall := time.Duration(forecastS * (1 + p.Margin/confidence) * float64(time.Second))
-	if p.Max > 0 && wall > p.Max {
-		wall = p.Max
-	}
-	return wall, true
+	return time.Duration(forecastS * (1 + p.Margin/confidence) * float64(time.Second)), true
 }
 
 // Size picks the walltime for one solve: the forecast-derived walltime when

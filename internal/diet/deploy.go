@@ -6,46 +6,11 @@ import (
 
 	"repro/internal/cori"
 	"repro/internal/dataman"
-	"repro/internal/logsvc"
 	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
-
-// callOn ships a profile straight to one server, used by bound function
-// handles. The call skips the MA, so its trace has no submit or schedule
-// span — just the SeD-side spans plus the complete span emitted here.
-func (c *Client) callOn(srv ServerRef, p *Profile) (*CallInfo, error) {
-	seq := int(c.seq.Add(1))
-	requestID := c.requestID(seq)
-	p.RequestID = requestID
-	t0 := time.Now()
-	var solved SolveReply
-	if err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved); err != nil {
-		return nil, err
-	}
-	*p = *solved.Profile
-	done := time.Now()
-	total := done.Sub(t0)
-	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
-	queue := time.Duration(solved.Timing.QueueWaitMS * float64(time.Millisecond))
-	publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindComplete,
-		p.Service, "bound call, server "+srv.Name, t0, done))
-	info := CallInfo{
-		Seq:       seq,
-		RequestID: requestID,
-		Server:    srv.Name,
-		QueueWait: queue,
-		Compute:   compute,
-		Latency:   total - compute,
-		Total:     total,
-	}
-	c.mu.Lock()
-	c.calls = append(c.calls, info)
-	c.mu.Unlock()
-	return &info, nil
-}
 
 // SeDSpec describes one SeD of a deployment.
 type SeDSpec struct {

@@ -46,27 +46,41 @@ func (c *Client) FunctionHandleInit(service string, server ServerRef) (*Function
 
 // GrpcCall performs a blocking call through the handle (grpc_call).
 func (h *FunctionHandle) GrpcCall(p *Profile, opts ...CallOption) (*CallInfo, error) {
-	if p.Service != h.Service {
-		return nil, fmt.Errorf("diet: profile is for %q, handle is for %q", p.Service, h.Service)
+	if err := h.check(p); err != nil {
+		return nil, err
 	}
-	if h.Bound == nil {
-		return h.client.Call(p, opts...)
-	}
-	return h.client.callOn(*h.Bound, p)
+	return h.client.Call(p, h.options(opts)...)
 }
 
 // GrpcCallAsync performs a non-blocking call through the handle
 // (grpc_call_async); the returned AsyncCall is the GridRPC session ID.
 func (h *FunctionHandle) GrpcCallAsync(p *Profile, opts ...CallOption) *AsyncCall {
-	if h.Bound == nil {
-		return h.client.CallAsync(p, opts...)
+	if err := h.check(p); err != nil {
+		a := &AsyncCall{done: make(chan struct{}), err: err}
+		close(a.done)
+		return a
 	}
-	a := &AsyncCall{done: make(chan struct{})}
-	go func() {
-		defer close(a.done)
-		a.info, a.err = h.client.callOn(*h.Bound, p)
-	}()
+	var a *AsyncCall
+	h.client.Call(p, append(h.options(opts), WithAsync(&a))...)
 	return a
+}
+
+// check rejects a profile built for another service than the handle's.
+func (h *FunctionHandle) check(p *Profile) error {
+	if p.Service != h.Service {
+		return fmt.Errorf("diet: profile is for %q, handle is for %q", p.Service, h.Service)
+	}
+	return nil
+}
+
+// options pins a bound handle's server by handing Call a one-server ranked
+// list, which skips the finding phase; the caller's options still apply.
+func (h *FunctionHandle) options(opts []CallOption) []CallOption {
+	if h.Bound == nil {
+		return opts
+	}
+	return append(append([]CallOption(nil), opts...),
+		WithServers(&SubmitReply{Servers: []ServerRef{*h.Bound}}, 0))
 }
 
 // GrpcWait blocks on one async call (grpc_wait).

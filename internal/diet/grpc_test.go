@@ -1,6 +1,7 @@
 package diet
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/rpc"
@@ -135,5 +136,78 @@ func TestGrpcInitializeAliases(t *testing.T) {
 	p.SetScalarInt(0, 2, Volatile)
 	if _, err := client.Call(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFunctionHandleBoundShipsWork: a bound handle passes its call options
+// through like a default one. WithWork reaches the SeD's solve record, and
+// a later call without it ships 0 rather than the hint a reused profile
+// still carries.
+func TestFunctionHandleBoundShipsWork(t *testing.T) {
+	d := grpcDeployment(t)
+	client, _ := d.Client()
+	h, _ := client.FunctionHandleInit("double", ServerRef{
+		Name: "SeD-grpc-b", Addr: d.SeDs[1].Addr(),
+	})
+	lastWork := func() float64 {
+		recs := d.SeDs[1].SolveRecords()
+		if len(recs) == 0 {
+			t.Fatal("bound SeD recorded no solve")
+		}
+		return recs[len(recs)-1].WorkGFlops
+	}
+	p, _ := NewProfile("double", 0, 0, 1)
+	p.SetScalarInt(0, 1, Volatile)
+	if _, err := h.GrpcCall(p, WithWork(5)); err != nil {
+		t.Fatal(err)
+	}
+	if w := lastWork(); w != 5 {
+		t.Errorf("bound GrpcCall WithWork(5) recorded work %g, want 5", w)
+	}
+	if _, err := GrpcWait(h.GrpcCallAsync(p, WithWork(6))); err != nil {
+		t.Fatal(err)
+	}
+	if w := lastWork(); w != 6 {
+		t.Errorf("bound GrpcCallAsync WithWork(6) recorded work %g, want 6", w)
+	}
+
+	// Leave a stale hint on the profile through a default-handle call.
+	if _, err := client.Call(p, WithWork(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.GrpcCall(p); err != nil {
+		t.Fatal(err)
+	}
+	if w := lastWork(); w != 0 {
+		t.Errorf("bound GrpcCall without WithWork recorded work %g, want 0 (not the stale hint)", w)
+	}
+	if _, err := client.Call(p, WithWork(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GrpcWait(h.GrpcCallAsync(p)); err != nil {
+		t.Fatal(err)
+	}
+	if w := lastWork(); w != 0 {
+		t.Errorf("bound GrpcCallAsync without WithWork recorded work %g, want 0 (not the stale hint)", w)
+	}
+}
+
+// TestGrpcCallAsyncRejectsServiceMismatch: the async verb checks the
+// profile against the handle's service, as GrpcCall does, bound or not.
+func TestGrpcCallAsyncRejectsServiceMismatch(t *testing.T) {
+	d := grpcDeployment(t)
+	client, _ := d.Client()
+	bound, _ := client.FunctionHandleInit("triple", ServerRef{
+		Name: "SeD-grpc-a", Addr: d.SeDs[0].Addr(),
+	})
+	def, _ := client.FunctionHandleDefault("triple")
+	for name, h := range map[string]*FunctionHandle{"bound": bound, "default": def} {
+		p, _ := NewProfile("double", 0, 0, 1)
+		p.SetScalarInt(0, 3, Volatile)
+		_, err := GrpcWait(h.GrpcCallAsync(p))
+		if err == nil || !strings.Contains(err.Error(), `handle is for "triple"`) {
+			t.Errorf("%s handle: async call of a %q profile on a %q handle: err %v, want a service mismatch",
+				name, p.Service, h.Service, err)
+		}
 	}
 }

@@ -58,12 +58,6 @@ type BatchQueueJob struct {
 type BatchQueueConfig struct {
 	Nodes    int
 	Backfill bool
-	// RequeueFactor widens the grant after a walltime kill (default 2,
-	// mirroring batch.WalltimePolicy.RequeueFactor).
-	RequeueFactor float64
-	// MaxAttempts bounds kill-and-requeue retries (default
-	// batch.DefaultMaxAttempts).
-	MaxAttempts int
 }
 
 // bfQueued is one waiting attempt.
@@ -91,18 +85,14 @@ type bfRunning struct {
 // and are walltime-bounded to finish before the head's shadow bound may
 // jump ahead, ranked by batch.OrderBackfill (forecast-sized first, then
 // tighter walltimes, then submission order). An attempt whose script
-// outlives its grant is killed at expiry and requeued with a
-// RequeueFactor-widened grant up to MaxAttempts. Jobs are mutated in place.
+// outlives its grant is killed at expiry and requeued with a grant widened
+// by the batch.WalltimePolicy default RequeueFactor, up to
+// batch.DefaultMaxAttempts attempts. Jobs are mutated in place.
 func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 	if cfg.Nodes < 1 {
 		return fmt.Errorf("simgrid: batch queue needs >= 1 node, got %d", cfg.Nodes)
 	}
-	if cfg.RequeueFactor <= 1 {
-		cfg.RequeueFactor = 2
-	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = batch.DefaultMaxAttempts
-	}
+	requeueFactor := batch.WalltimePolicy{}.WithDefaults().RequeueFactor
 	for _, j := range jobs {
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
 			return fmt.Errorf("simgrid: job %d requests %d nodes, cluster has %d", j.ID, j.Nodes, cfg.Nodes)
@@ -227,14 +217,14 @@ func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 			// job requeues at the tail with a widened grant, like
 			// batch.ForecastExecutor's kill-and-requeue.
 			r.job.Kills++
-			if r.job.Kills >= cfg.MaxAttempts {
+			if r.job.Kills >= batch.DefaultMaxAttempts {
 				r.job.Failed = true
 				r.job.EndS = r.releaseS
 				continue
 			}
 			queue = append(queue, &bfQueued{
 				job: r.job, enqueueS: t, attempt: r.job.Kills + 1,
-				wallS: r.wallS * cfg.RequeueFactor, headBoundS: -1,
+				wallS: r.wallS * requeueFactor, headBoundS: -1,
 			})
 		}
 		running = keep
@@ -270,12 +260,12 @@ type BackfillAblationConfig struct {
 	// 8 — fewer than the deployment's 11 SeDs, so the queue is contended,
 	// with enough width that wide jobs leave backfillable slack).
 	Nodes int
-	// WideEvery makes every n-th job a wide multi-node ensemble run that
-	// blocks the queue head and opens backfill windows (default 7).
-	WideEvery int
-	// WideNodes is the width of those jobs (default Nodes-2).
-	WideNodes int
 }
+
+// backfillWideEvery makes every n-th A9 job a wide multi-node ensemble run,
+// max(Nodes-2, 2) nodes wide, that blocks the queue head and opens backfill
+// windows.
+const backfillWideEvery = 7
 
 // BackfillAblationResult compares the three arms of A9 on one job stream.
 type BackfillAblationResult struct {
@@ -338,12 +328,13 @@ func userGrantS(runS float64) float64 {
 // on the CanonicalSkew platform (forecast-aware scheduling, exactly like the
 // other trained ablations), take the measured campaign's solves as a batch
 // job stream — each record's true duration, work size and submission time,
-// with every WideEvery-th job widened into a multi-node ensemble run — and
-// pack it onto a contended virtual cluster three ways: pure FIFO, backfill
-// over user-bucketed fixed grants, and backfill over forecast-sized grants
-// (batch.WalltimePolicy over the per-SeD trained model, the same shared
-// policy the live ForecastExecutor runs). Queue-wait and makespan tell how
-// much of the follow-up paper's dominant cost forecast sizing recovers.
+// with every backfillWideEvery-th job widened into a multi-node ensemble
+// run — and pack it onto a contended virtual cluster three ways: pure FIFO,
+// backfill over user-bucketed fixed grants, and backfill over
+// forecast-sized grants (batch.WalltimePolicy.Size over the per-SeD trained
+// model, the same shared policy the live ForecastExecutor runs). Queue-wait
+// and makespan tell how much of the follow-up paper's dominant cost
+// forecast sizing recovers.
 func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConfig) (*BackfillAblationResult, error) {
 	if abl.Rounds < 2 {
 		abl.Rounds = 2
@@ -351,15 +342,7 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 	if abl.Nodes < 2 {
 		abl.Nodes = 8
 	}
-	if abl.WideEvery < 2 {
-		abl.WideEvery = 7
-	}
-	if abl.WideNodes < 2 || abl.WideNodes > abl.Nodes {
-		abl.WideNodes = abl.Nodes - 2
-		if abl.WideNodes < 2 {
-			abl.WideNodes = 2
-		}
-	}
+	wideNodes := max(abl.Nodes-2, 2)
 
 	cfg := mkCfg()
 	cfg.Policy = scheduler.NewForecastAware()
@@ -372,8 +355,8 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 		return nil, fmt.Errorf("simgrid: backfill ablation training: %w", err)
 	}
 	final := results[len(results)-1]
-	if len(final.Records) < 2*abl.WideEvery {
-		return nil, fmt.Errorf("simgrid: backfill ablation needs >= %d requests, got %d", 2*abl.WideEvery, len(final.Records))
+	if len(final.Records) < 2*backfillWideEvery {
+		return nil, fmt.Errorf("simgrid: backfill ablation needs >= %d requests, got %d", 2*backfillWideEvery, len(final.Records))
 	}
 
 	// One job template per measured solve; per-arm copies are re-sized below.
@@ -385,8 +368,8 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 	specs := make([]jobSpec, len(final.Records))
 	for i, rec := range final.Records {
 		nodes := 1
-		if (i+1)%abl.WideEvery == 0 {
-			nodes = abl.WideNodes
+		if (i+1)%backfillWideEvery == 0 {
+			nodes = wideNodes
 		}
 		specs[i] = jobSpec{
 			arriveS: rec.SubmitS, runS: rec.DurationS(), workGFlops: rec.WorkGFlops,
@@ -403,12 +386,8 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 			}
 			if forecastSized {
 				pol := batch.WalltimePolicy{Fixed: time.Duration(j.WallS * float64(time.Second))}
-				if mon := cfg.Monitors[sp.sed]; mon != nil {
-					if model, ok := mon.Model("ramsesZoom2"); ok {
-						if w, ok := pol.FromForecast(model.SolveSeconds(sp.workGFlops), model.Confidence); ok {
-							j.WallS, j.Sized = w.Seconds(), true
-						}
-					}
+				if w, ok := pol.Size(cfg.Monitors[sp.sed], "ramsesZoom2", sp.workGFlops); ok {
+					j.WallS, j.Sized = w.Seconds(), true
 				}
 			}
 			out[i] = j

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/cori"
+	"repro/internal/platform"
 )
 
 // This file runs the data ablation (A13): a data-heavy parameter sweep with
@@ -23,92 +25,25 @@ import (
 // the platform and pays the WAN again and again, while the aware arm
 // concentrates them where the bytes already are.
 
-// DataServer is one compute node of the A13 platform.
-type DataServer struct {
-	Name        string
-	PowerGFlops float64
-}
-
 // DataAblationConfig parameterises the A13 comparison. The zero value runs
 // the default data-heavy sweep (see withDefaults) — an empty config is never
 // inert.
 type DataAblationConfig struct {
-	// Servers is the compute platform (default: four SeDs of mixed power,
-	// two behind a slow WAN link from the storage node).
-	Servers []DataServer
-	// StorageNode initially holds every dataset (default "nfs").
-	StorageNode string
 	// Datasets is how many distinct snapshots the sweep reads (default 6);
 	// DatasetMB is each snapshot's size (default 3000 — GRAFIC-scale).
 	Datasets  int
 	DatasetMB float64
-	// PointsPerDataset is how many sweep points consume each snapshot
-	// (default 8); WorkGFlops is one point's compute cost (default 2000).
-	PointsPerDataset int
-	WorkGFlops       float64
-	// BandwidthMBps maps cori.PairKey(a, b) to the link's virtual bandwidth;
-	// pairs not listed run at DefaultMBps (default 100). The default map puts
-	// Nancy and Sophia behind a 10 MB/s WAN from the storage node.
-	BandwidthMBps map[string]float64
-	DefaultMBps   float64
-	// FallbackMBps is the aware arm's assumed bandwidth while a pair's
-	// transfer model is still untrusted — the live SeD's DataFallbackMBps
-	// knob (default 50, still optimistic about the 10 MB/s WAN links).
-	FallbackMBps float64
-	// MaxInFlight caps concurrently running sweep points (default 4), so
-	// placement decisions interleave with completions and the transfer
-	// monitor trains mid-sweep.
-	MaxInFlight int
 	// Seed shuffles the submission order of the sweep points (default 7).
 	Seed int64
 }
 
 // withDefaults fills the zero fields with the default data-heavy sweep.
 func (c DataAblationConfig) withDefaults() DataAblationConfig {
-	if len(c.Servers) == 0 {
-		c.Servers = []DataServer{
-			{Name: "Lyon1", PowerGFlops: 70},
-			{Name: "Lyon2", PowerGFlops: 60},
-			{Name: "Nancy1", PowerGFlops: 50},
-			{Name: "Sophia1", PowerGFlops: 40},
-		}
-	}
-	if c.StorageNode == "" {
-		c.StorageNode = "nfs"
-	}
 	if c.Datasets < 1 {
 		c.Datasets = 6
 	}
 	if c.DatasetMB <= 0 {
 		c.DatasetMB = 3000
-	}
-	if c.PointsPerDataset < 1 {
-		c.PointsPerDataset = 8
-	}
-	if c.WorkGFlops <= 0 {
-		c.WorkGFlops = 2000
-	}
-	if c.BandwidthMBps == nil {
-		c.BandwidthMBps = map[string]float64{
-			cori.PairKey("nfs", "Lyon1"):      100,
-			cori.PairKey("nfs", "Lyon2"):      100,
-			cori.PairKey("nfs", "Nancy1"):     10,
-			cori.PairKey("nfs", "Sophia1"):    10,
-			cori.PairKey("Lyon1", "Nancy1"):   20,
-			cori.PairKey("Lyon1", "Sophia1"):  20,
-			cori.PairKey("Lyon2", "Nancy1"):   20,
-			cori.PairKey("Lyon2", "Sophia1"):  20,
-			cori.PairKey("Nancy1", "Sophia1"): 15,
-		}
-	}
-	if c.DefaultMBps <= 0 {
-		c.DefaultMBps = 100
-	}
-	if c.FallbackMBps <= 0 {
-		c.FallbackMBps = 50
-	}
-	if c.MaxInFlight < 1 {
-		c.MaxInFlight = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 7
@@ -116,12 +51,47 @@ func (c DataAblationConfig) withDefaults() DataAblationConfig {
 	return c
 }
 
-// bandwidth returns the virtual MB/s of the a↔b link.
-func (c DataAblationConfig) bandwidth(a, b string) float64 {
-	if bw, ok := c.BandwidthMBps[cori.PairKey(a, b)]; ok && bw > 0 {
+// The fixed A13 scenario. Every snapshot starts on dataStorage and feeds
+// dataPoints sweep points of dataWorkGFlops each. At most dataMaxInFlight
+// points run at once, so placement decisions interleave with completions
+// and the transfer monitor trains mid-sweep. The aware arm prices a pair
+// whose transfer model is still untrusted at dataFallbackMBps — the live
+// SeD's DataFallbackMBps, still optimistic about the 10 MB/s WAN links.
+const (
+	dataStorage      = "nfs"
+	dataPoints       = 8
+	dataWorkGFlops   = 2000
+	dataFallbackMBps = 50
+	dataMaxInFlight  = 4
+)
+
+// dataServers is the A13 compute platform: four SeDs of mixed power (GFlops).
+var dataServers = []struct {
+	name  string
+	power float64
+}{{"Lyon1", 70}, {"Lyon2", 60}, {"Nancy1", 50}, {"Sophia1", 40}}
+
+// dataLinkMBps is each link's virtual bandwidth, keyed by cori.PairKey:
+// Nancy and Sophia sit behind a 10 MB/s WAN from the storage node. Links
+// not listed run at 100 MB/s.
+var dataLinkMBps = map[string]float64{
+	cori.PairKey(dataStorage, "Lyon1"):   100,
+	cori.PairKey(dataStorage, "Lyon2"):   100,
+	cori.PairKey(dataStorage, "Nancy1"):  10,
+	cori.PairKey(dataStorage, "Sophia1"): 10,
+	cori.PairKey("Lyon1", "Nancy1"):      20,
+	cori.PairKey("Lyon1", "Sophia1"):     20,
+	cori.PairKey("Lyon2", "Nancy1"):      20,
+	cori.PairKey("Lyon2", "Sophia1"):     20,
+	cori.PairKey("Nancy1", "Sophia1"):    15,
+}
+
+// dataBandwidth returns the virtual MB/s of the a↔b link.
+func dataBandwidth(a, b string) float64 {
+	if bw, ok := dataLinkMBps[cori.PairKey(a, b)]; ok {
 		return bw
 	}
-	return c.DefaultMBps
+	return 100
 }
 
 // DataArmResult is one scheduling arm's outcome over the sweep.
@@ -167,14 +137,6 @@ func (r *DataAblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  bytes saved    %.1f%%\n", r.BytesSavedPct())
 }
 
-// dataSed is the ablation's view of one server: capacity 1, a drain time, and
-// the set of snapshots already resident on its store.
-type dataSed struct {
-	DataServer
-	freeAt float64
-	has    map[int]bool // dataset index → resident
-}
-
 // runDataArm executes the sweep under one ranking. Both arms share the
 // workload, submission order, platform, and caching behaviour; aware
 // additionally prices predicted input transfers into placement, from the
@@ -186,32 +148,25 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 		monitor = cori.NewTransferMonitor(cori.Config{HalfLife: TrainingHalfLife, Now: virtualClock(sim)})
 	}
 
-	seds := make([]*dataSed, len(cfg.Servers))
-	for i, s := range cfg.Servers {
-		seds[i] = &dataSed{DataServer: s, has: map[int]bool{}}
+	seds := make([]*sedState, len(dataServers))
+	for i, s := range dataServers {
+		seds[i] = &sedState{place: platform.SeDPlacement{Name: s.name}, truePower: s.power, advertised: s.power}
 	}
 	// holders[d] is the sorted set of nodes a replica of dataset d lives on;
-	// every dataset starts on the storage node only.
+	// every dataset starts on the storage node only, and a SeD holds one
+	// once its pull completes (persistent data lives where it lands).
 	holders := make([][]string, cfg.Datasets)
 	for d := range holders {
-		holders[d] = []string{cfg.StorageNode}
+		holders[d] = []string{dataStorage}
 	}
-	addHolder := func(d int, node string) {
-		for _, h := range holders[d] {
-			if h == node {
-				return
-			}
-		}
-		holders[d] = append(holders[d], node)
-		sort.Strings(holders[d])
-	}
+	resident := func(d int, s *sedState) bool { return slices.Contains(holders[d], s.place.Name) }
 
-	// The sweep: PointsPerDataset points per snapshot, submission order
+	// The sweep: dataPoints points per snapshot, submission order
 	// shuffled by the seed so neither arm sees datasets in convenient runs.
 	type point struct{ dataset int }
 	var queue []point
 	for d := 0; d < cfg.Datasets; d++ {
-		for p := 0; p < cfg.PointsPerDataset; p++ {
+		for p := 0; p < dataPoints; p++ {
 			queue = append(queue, point{dataset: d})
 		}
 	}
@@ -227,14 +182,14 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 
 	var dispatch func()
 	dispatch = func() {
-		for inflight < cfg.MaxInFlight && next < len(queue) {
+		for inflight < dataMaxInFlight && next < len(queue) {
 			job := queue[next]
 			seq := next
 			next++
 
 			// Rank: predicted finish = wait + compute (+ transfer when
 			// aware); ties go to the earlier server, like ServerID order.
-			var sed *dataSed
+			var sed *sedState
 			best := 0.0
 			now := sim.Now()
 			for _, s := range seds {
@@ -242,11 +197,11 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 				if s.freeAt > start {
 					start = s.freeAt
 				}
-				score := start + cfg.WorkGFlops/s.PowerGFlops
-				if aware && !s.has[job.dataset] {
+				score := start + dataWorkGFlops/s.advertised
+				if aware && !resident(job.dataset, s) {
 					// The live SeD's input pricing: the cheapest pull from
 					// any replica, trusted pair model else the fallback.
-					score += monitor.PriceInput(holders[job.dataset], s.Name, cfg.DatasetMB, cfg.FallbackMBps)
+					score += monitor.PriceInput(holders[job.dataset], s.place.Name, cfg.DatasetMB, dataFallbackMBps)
 				}
 				if sed == nil || score < best {
 					sed, best = s, score
@@ -262,37 +217,38 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 				start = sed.freeAt
 			}
 			transfer, from := 0.0, ""
-			if !sed.has[job.dataset] {
+			if !resident(job.dataset, sed) {
 				for _, h := range holders[job.dataset] {
-					if t := cfg.DatasetMB / cfg.bandwidth(h, sed.Name); from == "" || t < transfer {
+					if t := cfg.DatasetMB / dataBandwidth(h, sed.place.Name); from == "" || t < transfer {
 						transfer, from = t, h
 					}
 				}
 				res.BytesMovedMB += cfg.DatasetMB
 				res.Transfers++
 			}
-			end := start + transfer + cfg.WorkGFlops/sed.PowerGFlops
+			end := start + transfer + dataWorkGFlops/sed.truePower
 			sed.freeAt = end
 			inflight++
 			if from != "" {
 				res.EventLog = append(res.EventLog, fmt.Sprintf(
 					"t=%09.1f point=%03d ds=%d sed=%s pull=%s transfer=%.1fs end=%.1f",
-					now, seq, job.dataset, sed.Name, from, transfer, end))
+					now, seq, job.dataset, sed.place.Name, from, transfer, end))
 			} else {
 				res.EventLog = append(res.EventLog, fmt.Sprintf(
 					"t=%09.1f point=%03d ds=%d sed=%s local end=%.1f",
-					now, seq, job.dataset, sed.Name, end))
+					now, seq, job.dataset, sed.place.Name, end))
 			}
 
-			job, sedDone, fromDone, trDone := job, sed, from, transfer
 			sim.At(end, func() {
-				if fromDone != "" {
-					sedDone.has[job.dataset] = true
-					addHolder(job.dataset, sedDone.Name)
+				if from != "" {
+					if !resident(job.dataset, sed) {
+						holders[job.dataset] = append(holders[job.dataset], sed.place.Name)
+						sort.Strings(holders[job.dataset])
+					}
 					if monitor != nil {
 						monitor.Observe(cori.TransferSample{
-							From: fromDone, To: sedDone.Name, SizeMB: cfg.DatasetMB,
-							Duration: time.Duration(trDone * float64(time.Second)),
+							From: from, To: sed.place.Name, SizeMB: cfg.DatasetMB,
+							Duration: time.Duration(transfer * float64(time.Second)),
 						})
 					}
 				}

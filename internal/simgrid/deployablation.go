@@ -72,8 +72,7 @@ func (r DeployAblationResult) ReservationGainPct() float64 {
 // template's BatchGrantS and BatchFixedWallS are kept, with the
 // DefaultExperiment values substituted when unset). rounds ≥ 2 gives the
 // trained arm rounds-1 training campaigns before the measured one; the
-// training seeds are disjoint from the measured seed, as in
-// RunExperimentRounds.
+// training rounds run through trainRounds, as in RunExperimentRounds.
 func RunDeployAblation(mkCfg func() ExperimentConfig, rounds int) (*DeployAblationResult, error) {
 	if rounds < 2 {
 		rounds = 2
@@ -113,17 +112,13 @@ func RunDeployAblation(mkCfg func() ExperimentConfig, rounds int) (*DeployAblati
 	tcfg.Forecast = true
 	tcfg.CoRI.HalfLife = TrainingHalfLife
 	tcfg.Monitors = make(map[string]*cori.Monitor, len(tcfg.Deployment.SeDs))
-	baseSeed := tcfg.Seed
-	for r := 0; r < rounds-1; r++ {
-		tcfg.Seed = baseSeed + 1000 + int64(r)
-		if _, err = RunExperiment(tcfg); err != nil {
-			return nil, fmt.Errorf("simgrid: deploy ablation training round %d: %w", r+1, err)
-		}
+	if _, err = trainRounds(tcfg, rounds-1); err != nil {
+		return nil, fmt.Errorf("simgrid: deploy ablation: %w", err)
 	}
 	// Re-plan from the trained monitors: the phase-2 service dominates the
 	// campaign, so its models drive placement.
 	plan, changes, err := deploy.Replan(tcfg.Deployment, deploy.Options{
-		Capabilities: deploy.MonitorSource(tcfg.Monitors, "ramsesZoom2"),
+		Capabilities: deploy.MonitorSource(tcfg.Monitors, replanService),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: deploy ablation replan: %w", err)
@@ -131,7 +126,6 @@ func RunDeployAblation(mkCfg func() ExperimentConfig, rounds int) (*DeployAblati
 	out.Changes = changes
 	out.PlannedPower = plan.PowerByName()
 
-	tcfg.Seed = baseSeed
 	tcfg.PlannedPower = out.PlannedPower
 	tcfg.BatchForecast = true
 	if out.Trained, err = RunExperiment(tcfg); err != nil {

@@ -129,7 +129,7 @@ type ExperimentConfig struct {
 	// or partitioned nodes are detected after FailureDetectS and their
 	// in-flight work is requeued on the survivors, restarts rejoin warm via
 	// a CoRI snapshot round-trip, and lost dispatches are resubmitted after
-	// FailureRetryS — the virtual-time twin of heartbeat-miss eviction,
+	// failureRetryS — the virtual-time twin of heartbeat-miss eviction,
 	// -cori-snapshot restore and kill-and-requeue in internal/diet. Off = the
 	// fragile hierarchy: work on a dead node waits for its restart, or is
 	// lost outright when no restart is scheduled.
@@ -137,9 +137,6 @@ type ExperimentConfig struct {
 	// FailureDetectS is the crash/partition detection delay (default 90 —
 	// three missed 30 s heartbeats, the live Agent.SweepChildren default).
 	FailureDetectS float64
-	// FailureRetryS is the client resubmission backoff after a timed-out or
-	// lost dispatch (default 30).
-	FailureRetryS float64
 
 	// Spans, when set, receives the same span taxonomy the live stack emits
 	// — submit, schedule, queue, reserve, overrun_kill, requeue, solve,
@@ -177,6 +174,10 @@ const (
 	replanService = "ramsesZoom2"
 	replanPauseS  = 30
 )
+
+// failureRetryS is the client resubmission backoff after a timed-out or lost
+// dispatch.
+const failureRetryS = 30
 
 // meanPower averages SeD powers over a deployment.
 func meanPower(dep platform.Deployment) float64 {
@@ -436,10 +437,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	if detectS <= 0 {
 		detectS = 90 // three missed 30 s heartbeats
 	}
-	retryS := cfg.FailureRetryS
-	if retryS <= 0 {
-		retryS = 30
-	}
 	lost := 0
 	flog := func(node, kind, detail string) {
 		res.FailureLog = append(res.FailureLog, FailureLogEntry{AtS: sim.Now(), Node: node, Kind: kind, Detail: detail})
@@ -659,7 +656,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			// Nowhere left to try this instant: forget the bounce history
 			// and retry after the backoff.
 			job.avoid = nil
-			sim.After(retryS, func() { place(job) })
+			sim.After(failureRetryS, func() { place(job) })
 			return
 		}
 		if delayS > 0 {
@@ -686,8 +683,8 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				if cfg.SelfHealing {
 					flog(sed.place.Name, "requeue", fmt.Sprintf("req %d lost in flight, resubmitted", job.id))
 					emitSpan(reqID, "client", logsvc.KindRequeue, job.service,
-						fmt.Sprintf("lost in flight to %s", sed.place.Name), now, now+retryS)
-					bounce(job, sed, retryS)
+						fmt.Sprintf("lost in flight to %s", sed.place.Name), now, now+failureRetryS)
+					bounce(job, sed, failureRetryS)
 				} else {
 					lost++
 					flog(sed.place.Name, "lost", fmt.Sprintf("req %d lost in flight, never resubmitted", job.id))
@@ -703,8 +700,8 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				// Unreachable, not refused: the call times out before the
 				// client fails over.
 				flog(sed.place.Name, "requeue", fmt.Sprintf("req %d timed out against partitioned %s", job.id, sed.place.Name))
-				emitSpan(reqID, "client", logsvc.KindRequeue, job.service, sed.place.Name+" unreachable", now, now+retryS)
-				bounce(job, sed, retryS)
+				emitSpan(reqID, "client", logsvc.KindRequeue, job.service, sed.place.Name+" unreachable", now, now+failureRetryS)
+				bounce(job, sed, failureRetryS)
 				return
 			case !cfg.SelfHealing && sed.downForever:
 				// Nothing detects the dead node; the request joins a queue

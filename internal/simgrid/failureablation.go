@@ -19,18 +19,14 @@ import (
 
 // FailureAblationConfig tunes the A10 arms.
 type FailureAblationConfig struct {
-	// Schedule is the failure schedule both failing arms replay (default:
-	// CanonicalFailureSchedule).
-	Schedule []FailureEvent
-	// DetectS and RetryS tune the healing arm's detection delay and client
-	// backoff (defaults: the RunExperiment defaults — 90 s and 30 s).
+	// DetectS is the healing arm's detection delay (default: the
+	// RunExperiment default, 90 s).
 	DetectS float64
-	RetryS  float64
 }
 
-// CanonicalFailureSchedule is the default A10 schedule, timed against the
-// canonical paced campaign (phase 1 ends ≈4 500 s; arrivals every ≈600 s for
-// ≈60 000 s more):
+// CanonicalFailureSchedule is the A10 schedule both failing arms replay,
+// timed against the canonical paced campaign (phase 1 ends ≈4 500 s;
+// arrivals every ≈600 s for ≈60 000 s more):
 //
 //   - Nancy1 crashes at 3 h and restarts at 5 h — the crash-with-recovery
 //     case, where healing requeues the dead work in seconds and restores the
@@ -112,9 +108,7 @@ func (r FailureAblationResult) RestartsWarm() (bool, string) {
 // everything else (work sizes, seed, pacing) is shared, so the schedules and
 // seeds — not noise — separate the arms.
 func RunFailureAblation(mkCfg func() ExperimentConfig, acfg FailureAblationConfig) (*FailureAblationResult, error) {
-	if len(acfg.Schedule) == 0 {
-		acfg.Schedule = CanonicalFailureSchedule()
-	}
+	schedule := CanonicalFailureSchedule()
 	base := func() ExperimentConfig {
 		cfg := mkCfg()
 		cfg.Policy = scheduler.NewPowerAware()
@@ -127,7 +121,6 @@ func RunFailureAblation(mkCfg func() ExperimentConfig, acfg FailureAblationConfi
 			cfg.ArrivalGapS = 600
 		}
 		cfg.FailureDetectS = acfg.DetectS
-		cfg.FailureRetryS = acfg.RetryS
 		return cfg
 	}
 	out := &FailureAblationResult{Config: acfg}
@@ -139,14 +132,14 @@ func RunFailureAblation(mkCfg func() ExperimentConfig, acfg FailureAblationConfi
 	}
 
 	cfg = base()
-	cfg.Failures = acfg.Schedule
+	cfg.Failures = schedule
 	cfg.SelfHealing = true
 	if out.Healing, err = RunExperiment(cfg); err != nil {
 		return nil, fmt.Errorf("simgrid: failure ablation healing arm: %w", err)
 	}
 
 	cfg = base()
-	cfg.Failures = acfg.Schedule
+	cfg.Failures = schedule
 	if out.Fragile, err = RunExperiment(cfg); err != nil {
 		return nil, fmt.Errorf("simgrid: failure ablation fragile arm: %w", err)
 	}

@@ -23,60 +23,37 @@ import (
 type FederationConfig struct {
 	// MAs is the federation width (1 = the single-MA baseline).
 	MAs int
-	// Services is how many distinct services the request stream spreads
-	// over (default 32).
-	Services int
-	// Requests is the total submission count (default 4000).
-	Requests int
 	// ArrivalRateHz is the open-loop arrival rate of the stream, requests
 	// per virtual second (default 100). Pick it between the single-MA and
 	// federated capacities to see the single MA saturate while the
 	// federation keeps up.
 	ArrivalRateHz float64
-	// SubmitCostMS is one MA's serial processing per finding phase —
-	// collect fan-out, ranking, resolve; the ~30 ms ORB overhead of the
-	// paper's finding-time measurements (default 30).
-	SubmitCostMS float64
-	// MissCostMS is the cheaper probe a peer pays when a forwarded request
-	// finds nothing in its subtree (default SubmitCostMS/3).
-	MissCostMS float64
-	// ForwardRTTMS is the wire round trip a peer forward adds on top of the
-	// home MA's processing (default 10).
-	ForwardRTTMS float64
-	// ForeignFrac is the fraction of services whose SeDs are registered
-	// under a different MA than the gateway's sticky route — deployments
-	// that predate the federation layout, the requests that exercise peer
-	// forwarding (default 0.25; meaningless with one MA).
-	ForeignFrac float64
 }
+
+// The fixed A12 stream: federationRequests submissions spread over
+// federationServices services. One MA serialises federationSubmitCostMS
+// per finding phase — collect fan-out, ranking, resolve; the ~30 ms ORB
+// overhead of the paper's finding-time measurements. A peer whose subtree
+// holds nothing pays the cheaper federationMissCostMS probe, and a forward
+// adds federationForwardRTTMS of wire round trip. Every
+// federationForeignEvery-th service (a quarter of them) has its SeDs under
+// a different MA than the gateway's sticky route — deployments that predate
+// the federation layout, the requests that exercise peer forwarding.
+const (
+	federationServices     = 32
+	federationRequests     = 4000
+	federationSubmitCostMS = 30
+	federationMissCostMS   = federationSubmitCostMS / 3
+	federationForwardRTTMS = 10
+	federationForeignEvery = 4
+)
 
 func (cfg *FederationConfig) defaults() error {
 	if cfg.MAs <= 0 {
 		return fmt.Errorf("simgrid: federation needs at least one MA")
 	}
-	if cfg.Services <= 0 {
-		cfg.Services = 32
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 4000
-	}
 	if cfg.ArrivalRateHz <= 0 {
 		cfg.ArrivalRateHz = 100
-	}
-	if cfg.SubmitCostMS <= 0 {
-		cfg.SubmitCostMS = 30
-	}
-	if cfg.MissCostMS <= 0 {
-		cfg.MissCostMS = cfg.SubmitCostMS / 3
-	}
-	if cfg.ForwardRTTMS <= 0 {
-		cfg.ForwardRTTMS = 10
-	}
-	if cfg.ForeignFrac < 0 || cfg.ForeignFrac > 1 {
-		return fmt.Errorf("simgrid: ForeignFrac %g out of [0,1]", cfg.ForeignFrac)
-	}
-	if cfg.ForeignFrac == 0 {
-		cfg.ForeignFrac = 0.25
 	}
 	return nil
 }
@@ -188,29 +165,27 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	}
 
 	// Service placement: sticky routing and SeD homes agree by construction
-	// (both hash the name), except every ⌈1/ForeignFrac⌉-th service, whose
-	// hierarchy is displaced one MA over — those submissions must forward.
-	foreignEvery := 0
-	if cfg.MAs > 1 && cfg.ForeignFrac > 0 {
-		foreignEvery = int(math.Round(1 / cfg.ForeignFrac))
-	}
-	homeOf := make([]int, cfg.Services)
-	names := make([]string, cfg.Services)
-	for s := 0; s < cfg.Services; s++ {
+	// (both hash the name), except every federationForeignEvery-th service,
+	// whose hierarchy is displaced one MA over — those submissions must
+	// forward.
+	homeOf := make([]int, federationServices)
+	names := make([]string, federationServices)
+	for s := range names {
 		names[s] = fmt.Sprintf("svc%03d", s)
 		homeOf[s] = scheduler.StickyRoute(names[s], cfg.MAs)
-		if foreignEvery > 0 && s%foreignEvery == 0 {
+		if cfg.MAs > 1 && s%federationForeignEvery == 0 {
 			homeOf[s] = (homeOf[s] + 1) % cfg.MAs
 		}
 	}
 
-	res := &FederationResult{Config: cfg, Requests: make([]FederationRequestRecord, cfg.Requests)}
-	submitS := cfg.SubmitCostMS / 1000
-	missS := cfg.MissCostMS / 1000
-	rttS := cfg.ForwardRTTMS / 1000
-	for i := 0; i < cfg.Requests; i++ {
-		i := i
-		svc := i % cfg.Services
+	res := &FederationResult{Config: cfg, Requests: make([]FederationRequestRecord, federationRequests)}
+	const (
+		submitS = federationSubmitCostMS / 1000.0
+		missS   = federationMissCostMS / 1000.0
+		rttS    = federationForwardRTTMS / 1000.0
+	)
+	for i := range res.Requests {
+		svc := i % federationServices
 		arrive := float64(i) / cfg.ArrivalRateHz
 		route, home := scheduler.StickyRoute(names[svc], cfg.MAs), homeOf[svc]
 		res.Requests[i] = FederationRequestRecord{Service: names[svc], ArriveS: arrive}

@@ -1,6 +1,9 @@
 package simgrid
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // This file runs the federation ablation (A12; A11 stays reserved for
 // workflow campaigns): everything the repo built so far funnels every
@@ -17,9 +20,8 @@ import "fmt"
 type FederationAblationConfig struct {
 	// MAs is the federated arm's width (default 4).
 	MAs int
-	// Base is the shared stream template; its MAs field is overridden per
-	// arm, everything else (rate, costs, service mix) is common to both.
-	Base FederationConfig
+	// ArrivalRateHz is the stream rate both arms share (default 100).
+	ArrivalRateHz float64
 }
 
 // FederationAblationResult compares the two arms of the same stream.
@@ -47,6 +49,21 @@ func (r *FederationAblationResult) P99GainX() float64 {
 	return 0
 }
 
+// Print writes the A12 stream, both arms and the headline gains.
+func (r *FederationAblationResult) Print(w io.Writer) {
+	fmt.Fprintf(w, " stream: %d requests over %d services at %.0f/s; finding costs %.0fms serial per MA, misses %.0fms, forward RTT %.0fms, %.0f%% of services foreign\n",
+		federationRequests, federationServices, r.Federated.Config.ArrivalRateHz,
+		float64(federationSubmitCostMS), float64(federationMissCostMS), float64(federationForwardRTTMS), 100.0/federationForeignEvery)
+	row := func(name string, a *FederationResult) {
+		fmt.Fprintf(w, "  %-18s throughput %6.1f/s  p99 submit latency %8.3fs  mean %7.3fs  span %6.1fs  forwards %d\n",
+			name, a.ThroughputPerSec(), a.P99LatencyS(), a.MeanLatencyS(), a.TotalS, a.Forwards)
+	}
+	row("1 MA", r.Single)
+	row(fmt.Sprintf("%d federated MAs", r.Config.MAs), r.Federated)
+	fmt.Fprintf(w, "  → federation lifts saturation throughput %.2fx and cuts p99 submit latency %.1fx under the same stream\n",
+		r.ThroughputGainX(), r.P99GainX())
+}
+
 // RunFederationAblation runs A12: the same submission stream against one MA
 // and against cfg.MAs federated MAs.
 func RunFederationAblation(cfg FederationAblationConfig) (*FederationAblationResult, error) {
@@ -59,15 +76,10 @@ func RunFederationAblation(cfg FederationAblationConfig) (*FederationAblationRes
 	out := &FederationAblationResult{Config: cfg}
 	var err error
 
-	single := cfg.Base
-	single.MAs = 1
-	if out.Single, err = RunFederation(single); err != nil {
+	if out.Single, err = RunFederation(FederationConfig{MAs: 1, ArrivalRateHz: cfg.ArrivalRateHz}); err != nil {
 		return nil, fmt.Errorf("simgrid: federation ablation single arm: %w", err)
 	}
-
-	fed := cfg.Base
-	fed.MAs = cfg.MAs
-	if out.Federated, err = RunFederation(fed); err != nil {
+	if out.Federated, err = RunFederation(FederationConfig{MAs: cfg.MAs, ArrivalRateHz: cfg.ArrivalRateHz}); err != nil {
 		return nil, fmt.Errorf("simgrid: federation ablation federated arm: %w", err)
 	}
 	return out, nil

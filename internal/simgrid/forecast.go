@@ -28,11 +28,10 @@ func virtualClock(sim *Sim) func() time.Time {
 
 // RunExperimentRounds replays the campaign rounds times, carrying each SeD's
 // trained CoRI monitor from one round into the next (fresh queues, retained
-// history — successive observing nights on the same testbed). The final
-// round runs the cfg.Seed workload so its result is directly comparable to a
-// single RunExperiment of any policy on the same seed; the training rounds
-// before it draw distinct seeds (cfg.Seed+1000+r) so the models never see
-// the measured workload. It returns one result per round; with a
+// history — successive observing nights on the same testbed). The rounds-1
+// training rounds run through trainRounds; the final round runs the cfg.Seed
+// workload so its result is directly comparable to a single RunExperiment of
+// any policy on the same seed. It returns one result per round; with a
 // history-aware policy the later rounds schedule on measured models where
 // round one could only trust advertised powers.
 //
@@ -46,17 +45,29 @@ func RunExperimentRounds(cfg ExperimentConfig, rounds int) ([]*ExperimentResult,
 	if cfg.Monitors == nil {
 		cfg.Monitors = make(map[string]*cori.Monitor, len(cfg.Deployment.SeDs))
 	}
-	baseSeed := cfg.Seed
+	out, err := trainRounds(cfg, rounds-1)
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunExperiment(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("simgrid: forecast round %d: %w", rounds, err)
+	}
+	return append(out, res), nil
+}
+
+// trainRounds runs n training campaigns of cfg, the one training-seed rule
+// every multi-round driver shares: round r draws seed cfg.Seed+1000+r, so
+// the models never see the measured cfg.Seed workload. Whatever the rounds
+// learn lands in cfg.Monitors.
+func trainRounds(cfg ExperimentConfig, n int) ([]*ExperimentResult, error) {
 	var out []*ExperimentResult
-	for r := 0; r < rounds; r++ {
-		if r == rounds-1 {
-			cfg.Seed = baseSeed
-		} else {
-			cfg.Seed = baseSeed + 1000 + int64(r)
-		}
+	seed := cfg.Seed
+	for r := 0; r < n; r++ {
+		cfg.Seed = seed + 1000 + int64(r)
 		res, err := RunExperiment(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("simgrid: forecast round %d: %w", r+1, err)
+			return nil, fmt.Errorf("simgrid: training round %d: %w", r+1, err)
 		}
 		out = append(out, res)
 	}

@@ -2,6 +2,7 @@ package simgrid
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/cori"
 	"repro/internal/deploy"
@@ -35,17 +36,6 @@ type ReplanAblationConfig struct {
 	// the first pass the misplaced SeD has completed measured solves, so its
 	// migration carries a trusted model).
 	ReplanIntervalS float64
-	// MisplacedSeD names a SeD deployed under the wrong LA at bring-up, so
-	// the live arm exercises a real migration, not just power refreshes
-	// (default "Sophia2", parked under the grillon LA).
-	MisplacedSeD    string
-	MisplacedParent string
-	// DriftSeD/DriftFactor/DriftAtS degrade one more SeD during the run
-	// (default "Lille1" to 40% at 2h — before the phase-2 burst, so the
-	// whole campaign runs on a platform no deployment file describes).
-	DriftSeD    string
-	DriftFactor float64
-	DriftAtS    float64
 }
 
 func (c ReplanAblationConfig) withDefaults() ReplanAblationConfig {
@@ -55,25 +45,21 @@ func (c ReplanAblationConfig) withDefaults() ReplanAblationConfig {
 	if c.ReplanIntervalS <= 0 {
 		c.ReplanIntervalS = 6 * 3600
 	}
-	if c.MisplacedSeD == "" {
-		c.MisplacedSeD = "Sophia2"
-		c.MisplacedParent = "LA-grillon"
-	}
-	if c.MisplacedParent == "" {
-		c.MisplacedParent = "LA-grillon"
-	}
-	if c.DriftSeD == "" {
-		c.DriftSeD = "Lille1"
-		c.DriftFactor = 0.4
-	}
-	if c.DriftFactor <= 0 {
-		c.DriftFactor = 0.4
-	}
-	if c.DriftAtS <= 0 {
-		c.DriftAtS = 2 * 3600
-	}
 	return c
 }
+
+// The fixed A8 platform faults. replanMisplacedSeD is deployed under the
+// wrong LA at bring-up, so the live arm exercises a real migration, not
+// just power refreshes. replanDriftSeD degrades to replanDriftFactor of its
+// advertised power at replanDriftAtS — before the phase-2 burst, so the
+// whole campaign runs on a platform no deployment file describes.
+const (
+	replanMisplacedSeD    = "Sophia2"
+	replanMisplacedParent = "LA-grillon"
+	replanDriftSeD        = "Lille1"
+	replanDriftFactor     = 0.4
+	replanDriftAtS        = 2 * 3600
+)
 
 // ReplanAblationResult compares three arms on the same drifting,
 // miscalibrated platform (CanonicalSkew plus a mid-campaign drift event),
@@ -163,6 +149,41 @@ func (r ReplanAblationResult) FirstPostMoveForecastTrusted() (bool, string) {
 	return true, ""
 }
 
+// Print writes the A8 scenario, the three arms, the live arm's replan
+// passes and migrations, and the offline replan's placement changes.
+func (r ReplanAblationResult) Print(w io.Writer) {
+	fmt.Fprintf(w, " drifting/miscalibrated platform: CanonicalSkew, plus %s drifting to %.0f%% at %s;\n",
+		replanDriftSeD, 100*replanDriftFactor, Hours(replanDriftAtS))
+	fmt.Fprintf(w, " %s misdeployed under %s at bring-up; live arm replans every %s\n",
+		replanMisplacedSeD, replanMisplacedParent, Hours(r.Config.ReplanIntervalS))
+	row := func(name string, a *ExperimentResult) {
+		fmt.Fprintf(w, "  %-26s makespan %s (%.2fh)\n", name, Hours(a.TotalS), a.MakespanHours())
+	}
+	row("static plan (frozen)", r.Static)
+	row("live replanning", r.Live)
+	row("offline replan (restart)", r.Offline)
+	fmt.Fprintf(w, "  → live replanning saves %.1f%% makespan with no restart — %.1f%% of the offline-replan win (%.1f%%)\n",
+		r.LiveGainPct(), r.RecoveryPct(), r.OfflineGainPct())
+	for _, ev := range r.Live.Replans {
+		if ev.PowerUpdates == 0 && len(ev.Moved) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  replan @%6s: %d power update(s), migrated %v\n",
+			Hours(ev.AtS), ev.PowerUpdates, ev.Moved)
+	}
+	if ok, why := r.FirstPostMoveForecastTrusted(); ok {
+		fmt.Fprintln(w, "  every migrated SeD kept a trusted model through its move (snapshot travels with the reparent)")
+	} else {
+		fmt.Fprintf(w, "  WARNING: %s\n", why)
+	}
+	if len(r.Changes) > 0 {
+		fmt.Fprintf(w, "  offline replan placements (after %d training round(s)):\n", r.Config.Rounds-1)
+		for _, ch := range r.Changes {
+			fmt.Fprintf(w, "    %s\n", ch)
+		}
+	}
+}
+
 // RunReplanAblation runs A8 on the given configuration template (Policy,
 // Forecast, replanning, drift and placement fields are overridden per arm).
 func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig) (*ReplanAblationResult, error) {
@@ -171,9 +192,9 @@ func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig)
 		cfg := mkCfg()
 		cfg.Policy = scheduler.NewPowerAware()
 		cfg.TruePowerFactor = CanonicalSkew
-		cfg.DriftAtS = acfg.DriftAtS
-		cfg.DriftPowerFactor = map[string]float64{acfg.DriftSeD: acfg.DriftFactor}
-		cfg.LiveParent = map[string]string{acfg.MisplacedSeD: acfg.MisplacedParent}
+		cfg.DriftAtS = replanDriftAtS
+		cfg.DriftPowerFactor = map[string]float64{replanDriftSeD: replanDriftFactor}
+		cfg.LiveParent = map[string]string{replanMisplacedSeD: replanMisplacedParent}
 		// Campaigns span tens of virtual hours; measure on planning timescales.
 		cfg.CoRI.HalfLife = TrainingHalfLife
 		// The paper's all-at-once burst pre-makes every dispatch decision
@@ -211,12 +232,8 @@ func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig)
 	tcfg := base()
 	tcfg.Forecast = true
 	tcfg.Monitors = make(map[string]*cori.Monitor, len(tcfg.Deployment.SeDs))
-	baseSeed := tcfg.Seed
-	for r := 0; r < acfg.Rounds-1; r++ {
-		tcfg.Seed = baseSeed + 1000 + int64(r)
-		if _, err = RunExperiment(tcfg); err != nil {
-			return nil, fmt.Errorf("simgrid: replan ablation training round %d: %w", r+1, err)
-		}
+	if _, err = trainRounds(tcfg, acfg.Rounds-1); err != nil {
+		return nil, fmt.Errorf("simgrid: replan ablation: %w", err)
 	}
 	plan, changes, err := deploy.Replan(tcfg.Deployment, deploy.Options{
 		Capabilities: deploy.MonitorSource(tcfg.Monitors, replanService),
@@ -227,7 +244,6 @@ func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig)
 	out.Changes = changes
 	mcfg := base()
 	mcfg.Forecast = true
-	mcfg.Seed = baseSeed
 	mcfg.PlannedPower = plan.PowerByName()
 	mcfg.LiveParent = nil // the restart redeploys everything where planned
 	if out.Offline, err = RunExperiment(mcfg); err != nil {

@@ -139,12 +139,8 @@ func RunWarmStartAblation(mkCfg func() ExperimentConfig, joinSeD string, rounds 
 	}
 	tcfg.Deployment.SeDs = kept
 	tcfg.Monitors = make(map[string]*cori.Monitor, len(kept))
-	baseSeed := tcfg.Seed
-	for r := 0; r < rounds-1; r++ {
-		tcfg.Seed = baseSeed + 1000 + int64(r)
-		if _, err := RunExperiment(tcfg); err != nil {
-			return nil, fmt.Errorf("simgrid: warm-start training round %d: %w", r+1, err)
-		}
+	if _, err := trainRounds(tcfg, rounds-1); err != nil {
+		return nil, fmt.Errorf("simgrid: warm-start ablation: %w", err)
 	}
 
 	// Aggregate the trained models into a cluster-keyed registry — the same
@@ -185,7 +181,6 @@ func RunWarmStartAblation(mkCfg func() ExperimentConfig, joinSeD string, rounds 
 
 	arm := func(warm bool) (*ExperimentResult, error) {
 		cfg := base()
-		cfg.Seed = baseSeed
 		monitors, err := cloneMonitors()
 		if err != nil {
 			return nil, err

@@ -32,9 +32,6 @@ type WorkflowAblationConfig struct {
 	// tops the advertised table, so the dominant ramses3d stage needs three
 	// campaigns of exploration before its model set converges.
 	Campaigns int
-	// Levels and Snapshots shape each campaign's RamsesZoomDocument
-	// (defaults 2 and 3 — the 15-node DAG).
-	Levels, Snapshots int
 	// MaxParallel caps concurrently in-flight nodes per campaign, mirroring
 	// the live runner's cap (default 3).
 	MaxParallel int
@@ -44,15 +41,6 @@ type WorkflowAblationConfig struct {
 func (c WorkflowAblationConfig) withDefaults() WorkflowAblationConfig {
 	if c.Campaigns < 1 {
 		c.Campaigns = 5
-	}
-	if c.Levels < 1 {
-		c.Levels = 2
-	}
-	if c.Snapshots < 0 {
-		c.Snapshots = 3
-	}
-	if c.Levels == 2 && c.Snapshots == 0 {
-		c.Snapshots = 3
 	}
 	if c.MaxParallel < 1 {
 		c.MaxParallel = 3
@@ -119,11 +107,11 @@ func (r *WorkflowAblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  gain (skewed)  %.1f%%\n", r.SkewGainPct())
 }
 
-// runWorkflowArm executes cfg.Campaigns back-to-back campaigns of the zoom
-// DAG under one engine, in a single virtual timeline, carrying the monitors
-// from campaign to campaign.
+// runWorkflowArm executes cfg.Campaigns back-to-back campaigns of the
+// 15-node zoom DAG (two levels, three snapshots) under one engine, in a
+// single virtual timeline, carrying the monitors from campaign to campaign.
 func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string]float64) (*WorkflowArmResult, error) {
-	doc := workflow.RamsesZoomDocument(cfg.Levels, cfg.Snapshots)
+	doc := workflow.RamsesZoomDocument(2, 3)
 	dag, err := workflow.FromDocument(doc)
 	if err != nil {
 		return nil, err
